@@ -99,6 +99,18 @@ def configure_backend(name: str, cache_dir: "str | None") -> None:
         configure(cache_dir)
 
 
+def backend_fallbacks(name: str) -> int:
+    """Configs backend ``name`` has handed to faithful execution so far.
+
+    Process-wide, read through the owning module's optional module-level
+    ``fallback_count()`` hook (the ``configure_backend`` pattern); a
+    backend without the hook (``execute``) never falls back.
+    """
+    module = importlib.import_module(BACKEND_MODULES[name])
+    count = getattr(module, "fallback_count", None)
+    return 0 if count is None else count()
+
+
 def backend_runner(name: str) -> BackendRunner:
     """The runner registered for ``name``, importing its module if needed."""
     if name not in BACKEND_NAMES:

@@ -7,17 +7,25 @@ funnels through :class:`CampaignEngine`.  The engine:
 1. content-addresses every requested config through the
    :class:`~repro.harness.store.ResultStore` (when one is attached) and
    partitions the request into *cached* and *missing*;
-2. fans the missing configs across
-   :func:`~repro.harness.parallel.map_parallel` in deterministic,
-   input-ordered chunks;
-3. persists each chunk atomically as it completes (temp-file + rename),
-   so an interrupted campaign loses at most the in-flight chunk and a
-   re-run executes only the still-missing configs -- resume is not a
+2. submits every missing config, whatever its backend, as its own task
+   to one process pool owned by the :meth:`CampaignEngine.run` call
+   (``max_workers=1`` runs them serially in-process instead);
+3. persists results atomically in deterministic, input-ordered chunks
+   (temp-file + rename) while the workers carry on with later configs,
+   so an interrupted campaign loses at most the unpersisted chunks and
+   a re-run executes only the still-missing configs -- resume is not a
    mode, it is the partition step doing its job;
 4. reports progress through the telemetry
    :class:`~repro.telemetry.metrics.CounterSet` (``campaign.configs``,
    ``campaign.cache_hits``, ``campaign.simulated``, ``campaign.chunks``,
-   ``campaign.uncacheable``) plus an optional ``progress`` callback.
+   ``campaign.uncacheable``, and ``<backend>.fallbacks`` for configs a
+   backend handed to faithful execution) plus an optional ``progress``
+   callback.
+
+The pool lives exactly as long as one ``run()`` call.  Its workers fork
+when the call starts, so they inherit the caller's process state at that
+moment (the replay backend's trace store, the golden-observation cache)
+and keep their own golden caches for the rest of the call.
 
 Determinism is untouched: a result depends only on its config, never on
 chunking, scheduling, or whether it came from the store -- the warm-cache
@@ -26,22 +34,35 @@ equality tests assert ``repr``-identity between the two paths.
 
 from __future__ import annotations
 
-from repro.harness.backends import backend_runner, register_backend
+import concurrent.futures
+
+from repro.harness.backends import (
+    backend_fallbacks,
+    backend_runner,
+    register_backend,
+)
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.harness.parallel import map_parallel
 from repro.harness.store import ResultStore, config_key
 from repro.telemetry.metrics import CounterSet
 
-#: Configs simulated (and then persisted) per atomic store write.  Small
-#: enough that a killed sweep rarely loses more than a minute of work,
-#: large enough to amortise process fan-out.
+#: Configs persisted per atomic store write.  Small enough that a killed
+#: sweep rarely loses more than a minute of work, large enough to
+#: amortise the write.
 DEFAULT_CHUNK_SIZE = 16
 
 
-def _worker(config: ExperimentConfig) -> ExperimentResult:
-    """Picklable chunk worker (module-level for ProcessPoolExecutor)."""
-    return run_experiment(config)
+def _simulate(config: ExperimentConfig) -> "tuple[ExperimentResult, int]":
+    """One config on its backend, and how many fallbacks it took.
+
+    The single task every missing config becomes, serial or pooled
+    (module-level so the pool pickles it by reference).  The fallback
+    count travels with the result because a worker's process-wide
+    counters are invisible to the parent.
+    """
+    before = backend_fallbacks(config.backend)
+    result = backend_runner(config.backend)([config])[0]
+    return result, backend_fallbacks(config.backend) - before
 
 
 class CampaignEngine:
@@ -102,47 +123,45 @@ class CampaignEngine:
                 missing[key] = config
         self.counters.bump("campaign.missing", len(missing))
         pending = list(missing.items())
-        done = 0
-        for start in range(0, len(pending), self.chunk_size):
-            chunk = pending[start:start + self.chunk_size]
-            outcomes = self._simulate_chunk(
-                [config for _, config in chunk])
-            if self.store is not None:
-                self.store.put_many(outcomes)
-            for (key, _), outcome in zip(chunk, outcomes):
-                resolved[key] = outcome
-            self.counters.bump("campaign.simulated", len(chunk))
-            self.counters.bump("campaign.chunks")
-            done += len(chunk)
-            hits = self.counters.get("campaign.cache_hits")
-            self._report(f"campaign: {done}/{len(pending)} simulated "
-                         f"({hits} cached)")
+        batch = [config for _, config in pending]
+        pool = None
+        if len(batch) > 1 and self.max_workers != 1:
+            # Imported here so that importing repro stays light.  Forked
+            # workers inherit this process's trace store and golden cache
+            # whatever the platform's default start method is.
+            import multiprocessing
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=multiprocessing.get_context("fork"))
+        try:
+            # Lazy either way: serially, each chunk is simulated only
+            # after the previous one is persisted.
+            outcomes = (map(_simulate, batch) if pool is None
+                        else pool.map(_simulate, batch))
+            for start in range(0, len(pending), self.chunk_size):
+                chunk = pending[start:start + self.chunk_size]
+                simulated = [next(outcomes) for _ in chunk]
+                if self.store is not None:
+                    self.store.put_many(
+                        [result for result, _ in simulated])
+                for (key, config), (result, fallbacks) in zip(chunk,
+                                                              simulated):
+                    resolved[key] = result
+                    if fallbacks:
+                        self.counters.bump(f"{config.backend}.fallbacks",
+                                           fallbacks)
+                self.counters.bump("campaign.simulated", len(chunk))
+                self.counters.bump("campaign.chunks")
+                hits = self.counters.get("campaign.cache_hits")
+                self._report(
+                    f"campaign: {start + len(chunk)}/{len(pending)} "
+                    f"simulated ({hits} cached)")
+        finally:
+            if pool is not None:
+                # After an exception or interrupt, drop the queued configs;
+                # either way, return only once every worker has exited.
+                pool.shutdown(cancel_futures=True)
         return [resolved[key] for key in keys]
-
-    def _simulate_chunk(
-            self,
-            configs: "list[ExperimentConfig]") -> "list[ExperimentResult]":
-        """Simulate one chunk, dispatching each config's backend.
-
-        The ``execute`` group keeps the process-pool fan-out; any other
-        backend receives its sub-batch in one registry call (the replay
-        backend amortises trace loading across the batch).  Results come
-        back index-aligned with ``configs``.
-        """
-        outcomes: "list[ExperimentResult | None]" = [None] * len(configs)
-        by_backend: "dict[str, list[int]]" = {}
-        for index, config in enumerate(configs):
-            by_backend.setdefault(config.backend, []).append(index)
-        for backend, indices in by_backend.items():
-            batch = [configs[index] for index in indices]
-            if backend == "execute":
-                results = map_parallel(_worker, batch,
-                                       max_workers=self.max_workers)
-            else:
-                results = backend_runner(backend)(batch)
-            for index, result in zip(indices, results):
-                outcomes[index] = result
-        return outcomes  # type: ignore[return-value]
 
     def run_one(
         self,

@@ -1,13 +1,10 @@
-"""Parallel experiment execution across processes.
+"""Process fan-out for independent jobs.
 
-The figure sweeps are embarrassingly parallel -- every configuration is an
-independent simulation.  ``run_experiments`` fans a list of configs across
-worker processes and returns results in input order.  Determinism is
-unchanged: each result depends only on its config, never on scheduling.
-
-The golden-observation cache is per process, so workers re-derive golden
-runs; with one config per (app, seed) that cost is already paid once per
-worker at most.
+:func:`map_parallel` maps a picklable function over items across a
+short-lived process pool; the CLI uses it to render several experiment
+ids at once.  Experiment configs themselves fan out through the campaign
+engine's per-run pool (:class:`~repro.harness.engine.CampaignEngine`),
+which :func:`run_experiments` wraps.
 """
 
 from __future__ import annotations
@@ -15,11 +12,8 @@ from __future__ import annotations
 import concurrent.futures
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import ExperimentResult, run_experiment
-
-
-def _worker(config: ExperimentConfig) -> ExperimentResult:
-    return run_experiment(config)
+from repro.harness.engine import CampaignEngine
+from repro.harness.experiment import ExperimentResult
 
 
 def map_parallel(function, items: "list", max_workers: "int | None" = None,
@@ -27,12 +21,9 @@ def map_parallel(function, items: "list", max_workers: "int | None" = None,
     """Apply a picklable function to every item, optionally across processes.
 
     Results come back in input order.  An empty item list returns an
-    empty result list (an all-cached campaign has zero missing configs).
-    ``max_workers=1`` (or a single item) runs serially in-process --
-    same results, no fork overhead; ``None`` lets the executor pick the
-    machine's default worker count.  This is the shared fan-out
-    primitive behind :func:`run_experiments`, the campaign engine's
-    chunk execution, and the CLI's ``--max-workers`` flag.
+    empty result list.  ``max_workers=1`` (or a single item) runs
+    serially in-process -- same results, no fork overhead; ``None`` lets
+    the executor pick the machine's default worker count.
     """
     if not items:
         return []
@@ -49,5 +40,9 @@ def run_experiments(
     configs: "list[ExperimentConfig]",
     max_workers: "int | None" = None,
 ) -> "list[ExperimentResult]":
-    """Run every config, in input order, optionally across processes."""
-    return map_parallel(_worker, configs, max_workers=max_workers)
+    """Run every config, in input order, optionally across processes.
+
+    A store-less :class:`~repro.harness.engine.CampaignEngine` run: one
+    pool for the whole list, duplicate configs simulated once.
+    """
+    return CampaignEngine(max_workers=max_workers).run(configs)

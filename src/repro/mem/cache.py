@@ -17,6 +17,7 @@ into a fatal error).
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 from repro.mem.backing import BackingStore
@@ -24,6 +25,22 @@ from repro.mem.errors import StraddlingAccessError
 
 #: LRU victim key, hoisted so eviction does not build a closure per miss.
 _LINE_LAST_USE = operator.attrgetter("last_use")
+
+
+def weak_callback(method):
+    """A fill/writeback callback that does not keep ``method``'s owner alive.
+
+    An owner that holds a cache and hands it its own bound methods would
+    otherwise form a reference cycle (owner -> cache -> bound method ->
+    owner), so every finished simulation stack -- backing store included
+    -- would wait for the cyclic garbage collector.  The method is bound
+    through the instance, so subclass overrides still dispatch.
+    """
+    reference = weakref.WeakMethod(method)
+
+    def callback(line_address: int) -> None:
+        reference()(line_address)
+    return callback
 
 
 @dataclass

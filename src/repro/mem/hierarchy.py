@@ -48,13 +48,14 @@ act on corrupted words), the accessor takes the whole scheduled
 fault-free gap as a *lease* (``acquire_skip_lease``) and serves
 resident line-contained accesses on a short path that bypasses the
 per-access fault bookkeeping: no Bernoulli draw, no corruption-set
-algebra, no detection outcome classification, precomputed stall/energy
-charges (``fast_read_stall``/``fast_read_energy``/
-``fast_write_energy``, kept current by ``_refresh_fast_lane``), and one
-counter decrement per access instead of an injector round-trip.  The
-lane itself lives inline in :class:`repro.mem.view.MemView` (the sole
-caller of :meth:`read`/:meth:`write`); this module owns the shared
-lease state (``skip_lease``) and the refund contract: any access the
+algebra, no detection outcome classification, and one counter
+decrement per access instead of an injector round-trip.  Its
+stall/energy charges (``fast_read_stall``/``fast_read_energy``/
+``fast_write_energy``, kept current by ``_refresh_fast_lane``) are the
+same constants the full path adds.  The lane itself lives inline in
+:class:`repro.mem.view.MemView` (the sole caller of
+:meth:`read`/:meth:`write`); this module owns the shared lease state
+(``skip_lease``) and the refund contract: any access the
 lane cannot serve falls back here, and :meth:`read`/:meth:`write`
 return the unspent lease (``refund_skip_lease``) before drawing for
 the access, so the fault schedule is followed exactly.  The fast lane
@@ -73,7 +74,7 @@ from repro.core.recovery import NO_DETECTION, RecoveryPolicy
 from repro.cpu.processor import Processor
 from repro.mem import parity
 from repro.mem.backing import BackingStore
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, weak_callback
 from repro.mem.errors import MemoryAccessError, StraddlingAccessError
 from repro.mem.faults import FaultEvent, FaultInjector
 from repro.telemetry.events import (
@@ -160,10 +161,12 @@ class MemoryHierarchy:
             self.memory = (shared_memory if shared_memory is not None
                            else BackingStore(memory_size))
             self.l2 = Cache("L2", l2_size, l2_line, l2_associativity,
-                            lower=self.memory, on_fill=self._on_l2_fill)
+                            lower=self.memory,
+                            on_fill=weak_callback(self._on_l2_fill))
         self.l1d = Cache("L1D", l1_size, l1_line, l1_associativity,
-                         lower=self.l2, on_fill=self._on_l1_fill,
-                         on_writeback=self._on_l1_line_leaves)
+                         lower=self.l2,
+                         on_fill=weak_callback(self._on_l1_fill),
+                         on_writeback=weak_callback(self._on_l1_line_leaves))
         self._cycle_time = cycle_time
         #: word-aligned address -> positions (0..31) where the stored L1
         #: data disagrees with what the check bits were generated from.
@@ -267,12 +270,13 @@ class MemoryHierarchy:
                 reason=reason))
 
     def _refresh_fast_lane(self) -> None:
-        """Precompute the fast lane's per-access stall and energy charges.
+        """Precompute the per-access L1 stall and energy charges.
 
-        The charges are evaluated through exactly the expressions the
-        full path uses (``l1d_access_energy`` at the current ``Cr`` and
-        protection code, the one-core-cycle load-use floor), so a
-        fast-lane access accumulates bit-identical floats.  Re-derived on
+        Both the fast lane and the full path (:meth:`_charge_l1_access`)
+        add these constants, evaluated once through the cost expressions
+        (``l1d_access_energy`` at the current ``Cr`` and protection code,
+        the one-core-cycle load-use floor), so every access accumulates
+        bit-identical floats whichever path serves it.  Re-derived on
         every clock change.
         """
         model = self.processor.energy.model
@@ -347,12 +351,15 @@ class MemoryHierarchy:
         # stage.  This floor is why the paper's delay gains saturate at
         # Cr = 0.5 (2-cycle nominal latency) and Cr = 0.25 wins only on
         # energy while losing on fallibility (Section 5.4).
-        if not is_write:
-            stall = max(1.0, self._l1_latency * self._cycle_time)
-            self.processor.stall(stall)
+        # Both charges are the per-clock constants _refresh_fast_lane
+        # derives, shared with the fast lane.
+        if is_write:
+            self.processor.energy.l1d += self.fast_write_energy
+        else:
+            stall = self.fast_read_stall
+            self.processor.cycles += stall
             self.stall_cycles_l1 += stall
-        self.processor.energy.charge_l1d_access(
-            is_write, self._cycle_time, code=self.policy.code)
+            self.processor.energy.l1d += self.fast_read_energy
 
     @staticmethod
     def _covered_words(address: int, length: int) -> range:

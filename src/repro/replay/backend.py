@@ -29,7 +29,10 @@ from repro.replay.trace import TraceStore
 _TRACE_STORE = TraceStore()
 
 #: Fallbacks (configs the replayer declined) since process start --
-#: observability for the perf lane and the oracle.
+#: observability for the perf lane and the oracle.  The campaign engine
+#: reads it around every config through
+#: :func:`repro.harness.backends.backend_fallbacks`, so fallbacks taken in
+#: pool workers reach the parent's ``replay.fallbacks`` counter.
 _FALLBACKS = 0
 
 

@@ -24,8 +24,10 @@ persists ``.npz`` archives next to the result store.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +70,9 @@ def trace_key(config: ExperimentConfig,
     identity = {name: payload[name] for name in TRACE_IDENTITY_FIELDS}
     text = salt + "\n" + canonical_json(identity)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_TEMP_SEQUENCE = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -117,10 +122,16 @@ class Trace:
         }
 
     def save(self, path: "Path | str") -> Path:
-        """Persist as a compressed ``.npz`` archive (atomic replace)."""
+        """Persist as a compressed ``.npz`` archive (atomic replace).
+
+        The temp sibling is unique per writer (pid + a process-local
+        counter), so pool workers recording the same trace at once never
+        write into one file; the last rename wins with identical bytes.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.parent / (".tmp-" + path.name)
+        temp = path.parent / (
+            f".tmp-{os.getpid()}-{next(_TEMP_SEQUENCE)}-{path.name}")
         with open(temp, "wb") as handle:
             np.savez_compressed(
                 handle,
@@ -187,8 +198,9 @@ class TraceStore:
         if path is not None and path.exists():
             try:
                 trace = Trace.load(path)
-            except (OSError, KeyError, ValueError, json.JSONDecodeError):
-                return None  # corrupt archive: re-record
+            except (OSError, EOFError, KeyError, ValueError,
+                    zipfile.BadZipFile):
+                return None  # corrupt or truncated archive: re-record
             self._traces[key] = trace
             return trace
         return None

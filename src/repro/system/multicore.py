@@ -43,7 +43,7 @@ from repro.cpu.processor import Processor
 from repro.cpu.watchdog import FatalExecutionError
 from repro.mem.allocator import BumpAllocator
 from repro.mem.backing import BackingStore
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, weak_callback
 from repro.mem.errors import MemoryAccessError
 from repro.mem.faults import FaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
@@ -104,7 +104,8 @@ class MulticoreSystem:
         self.l2 = Cache("L2", constants.L2_SIZE_BYTES,
                         constants.L2_LINE_BYTES,
                         constants.L2_ASSOCIATIVITY,
-                        lower=self.memory, on_fill=self._on_l2_fill)
+                        lower=self.memory,
+                        on_fill=weak_callback(self._on_l2_fill))
         # The shared L2 is attached once here; per-engine attachment
         # deliberately skips shared caches.
         self.l2.attach_tracer(self.tracer)

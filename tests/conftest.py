@@ -16,6 +16,7 @@ from repro.mem.allocator import BumpAllocator
 from repro.mem.faults import FaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
+from repro.replay import TraceStore, set_trace_store, trace_store
 from repro.service import start_service
 
 #: Allocation base used by test environments (0 stays a null pointer).
@@ -60,6 +61,14 @@ def _fresh_golden_cache():
     clear_golden_cache()
     yield
     clear_golden_cache()
+
+
+@pytest.fixture()
+def scratch_store():
+    """Isolate the replay backend's process-wide trace store per test."""
+    previous = set_trace_store(TraceStore())
+    yield trace_store()
+    set_trace_store(previous)
 
 
 class ServiceUnderTest:

@@ -1,21 +1,59 @@
 """CampaignEngine: cache-first sweeps, resume, parallelism, and speedup."""
 
+import concurrent.futures
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.constants import NETBENCH_APPS
 from repro.core.recovery import NO_DETECTION, TWO_STRIKE
+from repro.harness import backends
 from repro.harness.campaign import SingleFaultInjector
 from repro.harness.engine import CampaignEngine, default_engine
+from repro.harness.experiment import run_experiment
 from repro.harness.figures import render_edf
 from repro.harness.store import ResultStore
 from repro.mem.faults import INJECTOR_NAMES
+from repro.replay import TraceStore, set_trace_store
 from tests.strategies import make_config
+
+#: The seed the poisoned execute backend refuses to simulate.
+POISONED_SEED = 5
 
 
 def sweep_configs(count=6):
     return [make_config(seed=seed) for seed in range(1, count + 1)]
+
+
+def fallback_config():
+    """A replay config the replayer declines (active L2-fill faults)."""
+    return make_config(l2_fill_fault_probability=0.05, backend="replay")
+
+
+def poisoned_execute(configs):
+    """An execute backend that raises, naming its process, on one seed."""
+    for config in configs:
+        if config.seed == POISONED_SEED:
+            raise RuntimeError(f"poisoned config in pid {os.getpid()}")
+    return [run_experiment(config) for config in configs]
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Count the process pools the engine builds."""
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    return built
 
 
 class TestColdVsWarm:
@@ -70,6 +108,102 @@ class TestParallel:
         results = engine.run(configs)
         assert [result.config.seed for result in results] == [1, 2, 3, 4, 5]
         assert engine.counters.get("campaign.chunks") == 3
+
+
+class TestEnginePool:
+    def test_mixed_backends_match_serial(self, tmp_path, scratch_store):
+        """Every backend fans out through the one pool: a mixed execute +
+        replay sweep with a replay fallback is repr-identical to the
+        serial run, and the store holds every key."""
+        configs = [make_config(app=app, seed=seed, packet_count=15,
+                               cycle_time=cycle_time, backend=backend)
+                   for app in ("tl", "md5")
+                   for seed in (1, 2)
+                   for cycle_time in (1.0, 0.5, 0.25)
+                   for backend in ("execute", "replay")]
+        configs += [fallback_config()] + sweep_configs(15)
+        assert len(configs) == 40
+        serial_engine = CampaignEngine(max_workers=1)
+        serial = serial_engine.run(configs)
+        store = ResultStore(tmp_path)
+        engine = CampaignEngine(store=store, max_workers=2)
+        pooled = engine.run(configs)
+        assert [repr(result) for result in pooled] == [
+            repr(result) for result in serial]
+        assert all(store.key_for(config) in store for config in configs)
+        fallbacks = serial_engine.counters.get("replay.fallbacks")
+        assert fallbacks >= 1
+        assert engine.counters.get("replay.fallbacks") == fallbacks
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_fallbacks_counted_at_any_worker_count(self, scratch_store,
+                                                   max_workers):
+        fault_free = make_config(fault_scale=0.0, backend="replay")
+        engine = CampaignEngine(max_workers=max_workers)
+        engine.run([fallback_config(), fault_free])
+        assert engine.counters.get("replay.fallbacks") == 1
+
+    def test_workers_share_an_empty_trace_directory(self, tmp_path):
+        """Pool workers that all miss one trace each record and save it
+        into the same on-disk store without clobbering each other."""
+        configs = [make_config(fault_scale=0.0, cycle_time=cycle_time,
+                               backend="replay")
+                   for cycle_time in (1.0, 0.75, 0.5, 0.25)]
+        expected = CampaignEngine(max_workers=1).run(
+            [config.with_options(backend="execute") for config in configs])
+        traces = tmp_path / "traces"
+        previous = set_trace_store(TraceStore(traces))
+        try:
+            pooled = CampaignEngine(max_workers=2, chunk_size=1).run(configs)
+        finally:
+            set_trace_store(previous)
+        assert [result.energy for result in pooled] == [
+            result.energy for result in expected]
+        assert [entry.name.startswith("trace-")
+                for entry in traces.iterdir()] == [True]
+        assert TraceStore(traces).get(configs[0]) is not None
+
+    def test_one_pool_per_run(self, tmp_path, pools):
+        engine = CampaignEngine(store=ResultStore(tmp_path), max_workers=2,
+                                chunk_size=2)
+        engine.run(sweep_configs(5))
+        assert len(pools) == 1
+        engine.run([make_config(seed=seed) for seed in (11, 12)])
+        assert len(pools) == 2
+
+    def test_no_pool_when_cached_or_serial(self, tmp_path, pools):
+        configs = sweep_configs(3)
+        CampaignEngine(store=ResultStore(tmp_path), max_workers=1).run(
+            configs)
+        warm = CampaignEngine(store=ResultStore(tmp_path), max_workers=2)
+        warm.run(configs)
+        assert warm.counters.get("campaign.cache_hits") == 3
+        assert pools == []
+
+    def test_progress_once_per_chunk_in_order(self, tmp_path):
+        lines = []
+        engine = CampaignEngine(store=ResultStore(tmp_path), max_workers=2,
+                                chunk_size=2, progress=lines.append)
+        engine.run(sweep_configs(5))
+        assert [line.split()[1] for line in lines] == ["2/5", "4/5", "5/5"]
+
+    def test_worker_exception_keeps_earlier_chunks(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setitem(backends._BACKEND_RUNNERS, "execute",
+                            poisoned_execute)
+        configs = sweep_configs(6)
+        store = ResultStore(tmp_path)
+        engine = CampaignEngine(store=store, max_workers=2, chunk_size=2)
+        children = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="poisoned config") as raised:
+            engine.run(configs)
+        assert f"pid {os.getpid()}" not in str(raised.value)
+        assert set(multiprocessing.active_children()) <= children
+        # The two chunks before the poisoned config were persisted.
+        persisted = [store.key_for(config) in store for config in configs]
+        assert persisted[:4] == [True] * 4
+        assert not persisted[4]
+        assert engine.counters.get("campaign.chunks") == 2
 
 
 class TestCachePartition:

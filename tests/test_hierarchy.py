@@ -1,5 +1,8 @@
 """The clumsy memory hierarchy: faults, parity, strikes, recovery."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import constants
@@ -10,9 +13,11 @@ from repro.core.recovery import (
     TWO_STRIKE,
 )
 from repro.cpu.processor import Processor
+from repro.harness.experiment import execute_workload, load_workload
 from repro.mem.errors import MemoryAccessError
 from repro.mem.faults import FaultEvent, FaultInjector
 from repro.mem.hierarchy import MemoryHierarchy
+from tests.strategies import make_config
 
 
 class ScriptedInjector(FaultInjector):
@@ -215,6 +220,58 @@ class TestEnergyCharging:
         one_fill = processor.energy.l2
         hierarchy.l1d.flush()              # writeback
         assert processor.energy.l2 == pytest.approx(one_fill * 2)
+
+
+    def test_full_path_charges_match_cost_expressions(self, monkeypatch):
+        """The full path adds the per-clock constants; summing the cost
+        expressions per access, in access order, across a dynamic-clock
+        run reproduces its L1D energy and stall totals bit for bit."""
+        accesses = []
+        charge = MemoryHierarchy._charge_l1_access
+
+        def recording_charge(hierarchy, is_write):
+            accesses.append((is_write, hierarchy.cycle_time))
+            charge(hierarchy, is_write)
+
+        monkeypatch.setattr(MemoryHierarchy, "_charge_l1_access",
+                            recording_charge)
+        # The reference injector never leases the fast lane, so every
+        # access takes the full path.
+        config = make_config(dynamic=True, packet_count=250)
+        outcome = execute_workload(load_workload(config), config,
+                                   faulty=True)
+        hierarchy = outcome.hierarchy
+        assert hierarchy.fast_reads == hierarchy.fast_writes == 0
+        assert len({cycle_time for _, cycle_time in accesses}) > 1
+        model = outcome.processor.energy.model
+        energy = stall = 0.0
+        for is_write, cycle_time in accesses:
+            energy += model.l1d_access_energy(is_write, cycle_time,
+                                              code=config.policy.code)
+            if not is_write:
+                stall += max(1.0, constants.L1_HIT_LATENCY_CYCLES
+                             * cycle_time)
+        assert outcome.processor.energy.l1d == energy
+        assert hierarchy.stall_cycles_l1 == stall
+
+
+class TestStackLifetime:
+    @pytest.mark.parametrize("overrides", [{}, {"dynamic": True}])
+    def test_finished_stack_is_freed_by_reference_counting(self,
+                                                           overrides):
+        """No reference cycle keeps a finished run's hierarchy (and its
+        backing store) alive until a cyclic garbage collection."""
+        config = make_config(packet_count=10, **overrides)
+        workload = load_workload(config)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = execute_workload(workload, config, faulty=True)
+            hierarchy = weakref.ref(outcome.hierarchy)
+            del outcome
+            assert hierarchy() is None
+        finally:
+            gc.enable()
 
 
 class TestInitialLoadAndInspect:

@@ -57,14 +57,6 @@ def _outcome(result) -> dict:
     return {name: getattr(result, name) for name in _COMPARED_FIELDS}
 
 
-@pytest.fixture()
-def scratch_store():
-    """Isolate the process-wide trace store per test."""
-    previous = set_trace_store(TraceStore())
-    yield trace_store()
-    set_trace_store(previous)
-
-
 def _fault_free(**overrides) -> ExperimentConfig:
     return make_config(fault_scale=0.0, **overrides)
 
@@ -114,6 +106,40 @@ class TestRecorder:
         assert loaded is not None
         assert reader.recordings == 0
         np.testing.assert_array_equal(loaded.kind, recorded.kind)
+
+    def test_overlapping_saves_of_one_trace_both_land(self, tmp_path,
+                                                      monkeypatch):
+        """Two writers saving the same trace at once (pool workers that
+        both missed it) must not share a temp file: here a second save
+        runs in full between the first one's write and its rename."""
+        import repro.replay.trace as trace_module
+        trace = record_trace(_fault_free())
+        path = tmp_path / "trace.npz"
+        real_replace = trace_module.os.replace
+        interleaved = []
+
+        def replace(source, target):
+            if not interleaved:
+                interleaved.append(source)
+                trace.save(path)
+            real_replace(source, target)
+
+        monkeypatch.setattr(trace_module.os, "replace", replace)
+        trace.save(path)
+        assert interleaved
+        np.testing.assert_array_equal(Trace.load(path).kind, trace.kind)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["trace.npz"]
+
+    def test_truncated_archive_is_a_miss(self, tmp_path):
+        config = _fault_free()
+        TraceStore(tmp_path).get_or_record(config)
+        (archive,) = tmp_path.glob("trace-*.npz")
+        archive.write_bytes(archive.read_bytes()[:100])
+        store = TraceStore(tmp_path)
+        assert store.get(config) is None
+        store.get_or_record(config)
+        assert store.recordings == 1
+        assert TraceStore(tmp_path).get(config) is not None
 
     def test_store_memoises_in_process(self, tmp_path):
         store = TraceStore(tmp_path)
