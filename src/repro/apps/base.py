@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from repro.cpu.processor import Processor
 from repro.cpu.watchdog import Watchdog
 from repro.mem.allocator import BumpAllocator, Region
+from repro.mem.flat import FlatMemory
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
 from repro.net.packet import Packet
@@ -49,11 +50,16 @@ INSTRUCTION_SCALE = 1.5
 
 @dataclass
 class Environment:
-    """Everything an application needs to execute on the simulated machine."""
+    """Everything an application needs to execute on the simulated machine.
+
+    Applications reach memory only through ``view``.  A golden run's
+    view is a :class:`~repro.mem.flat.FlatMemory` and its ``hierarchy``
+    is ``None``: it has no cache model to time or charge.
+    """
 
     processor: Processor
-    hierarchy: MemoryHierarchy
-    view: MemView
+    hierarchy: "MemoryHierarchy | None"
+    view: "MemView | FlatMemory"
     allocator: BumpAllocator
     instruction_scale: float = INSTRUCTION_SCALE
 
@@ -148,7 +154,7 @@ class NetBenchApp:
             words_here = region.size // 4
             if word_index < words_here:
                 address = region.address + 4 * word_index
-                raw = self.env.hierarchy.inspect(address, 4)
+                raw = self.env.view.inspect(address, 4)
                 return (address, int.from_bytes(raw, "little"))
             word_index -= words_here
         raise AssertionError("unreachable: sample index out of range")

@@ -76,6 +76,7 @@ class ExperimentConfig:
     seed: int = 7
     cycle_time: float = 1.0
     control_cycle_time: "float | None" = None
+    #: A policy, or a registry name (``"two-strike"``) coerced on build.
     policy: RecoveryPolicy = NO_DETECTION
     dynamic: bool = False
     fault_scale: float = DEFAULT_FAULT_SCALE
@@ -99,6 +100,12 @@ class ExperimentConfig:
                                     repr=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.policy, str):
+            try:
+                policy = policy_by_name(self.policy)
+            except ValueError as exc:
+                raise ValueError(f"policy: {exc}") from None
+            object.__setattr__(self, "policy", policy)
         if self.app not in NETBENCH_APPS:
             raise ValueError(f"unknown application {self.app!r}")
         if self.packet_count < 1:
@@ -167,14 +174,16 @@ class ExperimentConfig:
         """The fault-free reference variant of this configuration.
 
         Golden observations depend only on the workload identity (app,
-        packet count, seed, workload kwargs) -- never on the clock,
-        policy, or fault scale -- so the golden config drops every other
-        axis back to its default.  The ``injector`` is carried over: a
-        disabled injector draws no faults regardless of implementation,
-        so it cannot change the observations, but a skip-capable one
-        lets the golden run ride the fault-free fast lane.  This is the
-        one sanctioned way to build a reference run (the profiler and
-        the golden cache both use it).
+        packet count, seed, scenario, workload kwargs) -- never on the
+        clock, policy, or fault scale -- so the golden config drops
+        every other axis back to its default.  The golden cache takes
+        only its memory size: golden observations are computed on flat
+        memory, with no cache model and no injector.  The ``injector``
+        is carried over for the profiler, which runs the golden config
+        through the full hierarchy: a disabled injector draws no faults
+        regardless of implementation, so it cannot change what is
+        measured, but a skip-capable one lets that run ride the
+        fault-free fast lane.
         """
         return ExperimentConfig(
             app=self.app, packet_count=self.packet_count, seed=self.seed,
@@ -245,9 +254,7 @@ class ExperimentConfig:
         """
         payload = dict(data)
         policy = payload.pop("policy", NO_DETECTION)
-        if isinstance(policy, str):
-            policy = policy_by_name(policy)
-        elif isinstance(policy, dict):
+        if isinstance(policy, dict):
             policy = RecoveryPolicy(**policy)
         field_names = {
             "app", "packet_count", "seed", "cycle_time",

@@ -2,9 +2,13 @@
 
 This is the reproduction of the paper's Section 5 methodology:
 
-1. Execute the application over its trace with fault injection disabled,
-   recording every per-packet observation (the *golden* run).  Golden
-   observations depend only on the workload, so they are cached.
+1. Execute the application over its trace on flat, fault-free memory,
+   recording every per-packet observation (the *golden* run).  Only the
+   observations are used -- a golden run's cycles, energy and cache
+   statistics never enter a result -- so the run needs no cache model:
+   :class:`~repro.mem.flat.FlatMemory` has the architectural semantics of
+   a fault-free hierarchy.  Golden observations depend only on the
+   workload, so they are cached.
 2. Execute an identically-constructed simulation with fault injection
    enabled in the configured plane(s), under the configured clock setting
    (static or dynamic) and detection/recovery policy.
@@ -39,6 +43,7 @@ from repro.mem.allocator import BumpAllocator, Region
 from repro.mem.errors import MemoryAccessError
 from repro.mem.faultmaps import MAPPED_INJECTOR_NAMES
 from repro.mem.faults import FaultInjector, make_injector
+from repro.mem.flat import FlatMemory
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.view import MemView
 from repro.telemetry.events import FatalError, PacketDone
@@ -337,11 +342,6 @@ def execute_workload(workload: Workload, config: ExperimentConfig,
         packet_cycles=tuple(packet_cycles))
 
 
-#: Backwards-compatible alias of :func:`execute_workload` (pre-telemetry
-#: callers imported the then-private name).
-_execute = execute_workload
-
-
 # Golden observations depend only on the workload identity, never on the
 # clock/policy/scale, so they are cached per (app, packets, seed, kwargs).
 _GOLDEN_CACHE: "dict[tuple, list[dict[str, object]]]" = {}
@@ -354,18 +354,36 @@ def clear_golden_cache() -> None:
 
 def golden_observations(workload: Workload, config: ExperimentConfig,
                         ) -> "list[dict[str, object]]":
-    """Fetch (and cache) the workload's golden observations."""
+    """Fetch (and cache) the workload's golden observations.
+
+    The golden run executes on a :class:`FlatMemory` of the golden
+    config's size, with the same allocator and processor as a faulty
+    run but no hierarchy: its observations equal those of
+    ``execute_workload(workload, config.golden(), faulty=False)``
+    exactly, at a fraction of the cost.
+    """
     key = (config.app, config.packet_count, config.seed, config.scenario,
            tuple(sorted(config.workload_kwargs.items())))
     cached = _GOLDEN_CACHE.get(key)
     if cached is not None:
         return cached
-    outcome = execute_workload(workload, config.golden(), faulty=False)
-    if outcome.fatal_reason is not None:
-        raise RuntimeError(
-            f"golden run must not fail, got {outcome.fatal_reason}")
-    _GOLDEN_CACHE[key] = outcome.observations
-    return outcome.observations
+    memory_size = config.golden().memory_size
+    env = Environment(
+        processor=Processor(), hierarchy=None,
+        view=FlatMemory(memory_size),
+        allocator=BumpAllocator(ALLOCATION_BASE,
+                                memory_size - ALLOCATION_BASE))
+    app = workload.build(env)
+    observations: "list[dict[str, object]]" = []
+    try:
+        app.run_control_plane()
+        for index, packet in enumerate(workload.packets):
+            observations.append(app.run_packet(packet, index))
+    except (FatalExecutionError, MemoryAccessError) as exc:
+        raise RuntimeError(f"golden run must not fail, got "
+                           f"{type(exc).__name__}: {exc}") from exc
+    _GOLDEN_CACHE[key] = observations
+    return observations
 
 
 def load_workload(config: ExperimentConfig) -> Workload:
@@ -390,10 +408,6 @@ def load_workload(config: ExperimentConfig) -> Workload:
                                      prefix_count=prefix_count)
     return make_workload(config.app, config.packet_count, config.seed,
                          **config.workload_kwargs)
-
-
-#: Backwards-compatible alias of :func:`load_workload`.
-_load_workload = load_workload
 
 
 def run_experiment(config: ExperimentConfig,

@@ -45,11 +45,11 @@ def profile_workload(app: str, packet_count: int = 300, seed: int = 7,
                      ) -> WorkloadProfile:
     """Measure a workload's profile with one fault-free run.
 
-    The profiling run is exactly the golden reference run of the
-    workload's configuration (``ExperimentConfig.golden()``, which
-    always carries the ``execute`` backend), so the profile describes
-    the same execution the experiment runner compares against.  It
-    deliberately bypasses :func:`repro.harness.engine.run`: the profile
+    The profiling run executes the workload's golden configuration
+    (``ExperimentConfig.golden()``, which always carries the ``execute``
+    backend) through the full hierarchy -- the same execution the
+    golden observations describe, which themselves come from flat
+    memory and so carry no cache statistics.  It deliberately bypasses :func:`repro.harness.engine.run`: the profile
     reads the live hierarchy and processor counters from the raw
     :class:`RunOutcome`, which no backend's reduced
     :class:`ExperimentResult` exposes.

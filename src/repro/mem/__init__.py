@@ -5,6 +5,7 @@ from repro.mem.backing import BackingStore
 from repro.mem.cache import Cache, CacheLine, CacheStatistics
 from repro.mem.errors import MemoryAccessError, StraddlingAccessError
 from repro.mem.faults import FaultEvent, FaultInjector, FaultStatistics
+from repro.mem.flat import FlatMemory
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.parity import detects, parity_of_bytes, parity_of_int
 from repro.mem.view import MemView
@@ -18,6 +19,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultStatistics",
+    "FlatMemory",
     "MemView",
     "MemoryAccessError",
     "MemoryHierarchy",

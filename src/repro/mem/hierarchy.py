@@ -75,7 +75,11 @@ from repro.cpu.processor import Processor
 from repro.mem import parity
 from repro.mem.backing import BackingStore
 from repro.mem.cache import Cache, weak_callback
-from repro.mem.errors import MemoryAccessError, StraddlingAccessError
+from repro.mem.errors import (
+    MemoryAccessError,
+    StraddlingAccessError,
+    garbage_value,
+)
 from repro.mem.faults import FaultEvent, FaultInjector
 from repro.telemetry.events import (
     FaultInjected,
@@ -89,18 +93,6 @@ from repro.telemetry.tracer import NULL_TRACER
 #: Shared empty corruption set: ``dict.get`` defaults on the per-access
 #: path must not allocate a fresh frozenset per word.
 _NO_BITS: "frozenset[int]" = frozenset()
-
-
-def _garbage_value(address: int, length: int) -> int:
-    """Deterministic pseudo-garbage for a straddling (misaligned) load.
-
-    Models what an ARM-class core returns for an unaligned access: junk
-    that depends only on the address, so runs stay reproducible.
-    """
-    accumulator = 2166136261
-    for part in (address & 0xFFFFFFFF, length):
-        accumulator = ((accumulator ^ part) * 16777619) & 0xFFFFFFFF
-    return accumulator & ((1 << (8 * length)) - 1)
 
 
 class MemoryHierarchy:
@@ -424,7 +416,7 @@ class MemoryHierarchy:
         except StraddlingAccessError:
             self.wild_reads += 1
             self._charge_l1_access(is_write=False)
-            return _garbage_value(address, length), "clean"
+            return garbage_value(address, length), "clean"
         self._charge_l1_access(is_write=False)
         event = self.injector.draw(self._cycle_time, length * 8,
                                    address)
@@ -569,7 +561,7 @@ class MemoryHierarchy:
         except StraddlingAccessError:
             self.wild_reads += 1
             self._charge_l1_access(is_write=False)
-            return _garbage_value(address, length)
+            return garbage_value(address, length)
         self._charge_l1_access(is_write=False)
         # The post-recovery read is itself an L1 access and can fault
         # again; the value is returned regardless (the strike budget is
@@ -665,13 +657,12 @@ class MemoryHierarchy:
     def inspect(self, address: int, length: int) -> bytes:
         """Read current architectural state (L1 over L2 over memory) without
         side effects, faults, or charges -- for observers and tests."""
-        out = bytearray()
-        for offset in range(length):
-            byte_address = address + offset
-            if self.l1d.contains(byte_address):
-                out += self.l1d.poke_read(byte_address)
-            elif self.l2.contains(byte_address):
-                out += self.l2.poke_read(byte_address)
-            else:
-                out += self.memory.read_block(byte_address, 1)
-        return bytes(out)
+        return b"".join(map(self._inspect_byte,
+                            range(address, address + length)))
+
+    def _inspect_byte(self, address: int) -> bytes:
+        if self.l1d.contains(address):
+            return self.l1d.poke_read(address)
+        if self.l2.contains(address):
+            return self.l2.poke_read(address)
+        return self.memory.read_block(address, 1)

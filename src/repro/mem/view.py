@@ -390,3 +390,8 @@ class MemView:
     def read_u32_array(self, address: int, count: int) -> "list[int]":
         """Load ``count`` consecutive 32-bit words."""
         return [self.read_u32(address + 4 * index) for index in range(count)]  # reprolint: disable=hot-path-alloc (bulk accessor: returning a fresh list is its contract)
+
+    def inspect(self, address: int, length: int) -> bytes:
+        """Read current architectural state without side effects, faults,
+        or charges (observers and tests)."""
+        return self.hierarchy.inspect(address, length)

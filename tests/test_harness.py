@@ -7,8 +7,8 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import (
     clear_golden_cache,
     golden_observations,
+    load_workload,
     run_experiment,
-    _load_workload,
 )
 from repro.harness.report import format_value, render_series, render_table
 from repro.harness.sweep import sweep
@@ -34,6 +34,15 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_policy_name_is_coerced(self):
+        config = ExperimentConfig(app="crc", policy="two-strike")
+        assert config.policy == TWO_STRIKE
+        assert config == ExperimentConfig(app="crc", policy=TWO_STRIKE)
+
+    def test_unknown_policy_name_names_the_field(self):
+        with pytest.raises(ValueError, match="policy"):
+            ExperimentConfig(app="crc", policy="four-strike")
 
     def test_dynamic_allows_any_initial_cycle_time_field(self):
         # cycle_time is ignored when dynamic, so off-ladder values are
@@ -86,7 +95,7 @@ class TestRunner:
     def test_golden_cache_reused(self):
         clear_golden_cache()
         config = ExperimentConfig(app="tl", packet_count=10)
-        workload = _load_workload(config)
+        workload = load_workload(config)
         first = golden_observations(workload, config)
         second = golden_observations(workload, config)
         assert first is second
